@@ -385,18 +385,10 @@ impl<F: KeyFilter> JoinPruner<F> {
         self.filter_b.clear();
     }
 
-    /// Take the `(F_A, F_B)` pair out of the pruner — how a shard's build
-    /// pass exports its local filters to the cross-shard combine layer
-    /// (see [`BloomFilter::union`]).
+    /// Take the `(F_A, F_B)` pair out of the pruner, e.g. to merge a
+    /// shard's build state into another's (see [`BloomFilter::union`]).
     pub fn into_filters(self) -> (F, F) {
         (self.filter_a, self.filter_b)
-    }
-
-    /// Borrow the `(F_A, F_B)` pair without consuming the pruner — how a
-    /// serving layer snapshots the built filters into a cross-query cache
-    /// after pass 1 while the pruner keeps probing in pass 2.
-    pub fn filters(&self) -> (&F, &F) {
-        (&self.filter_a, &self.filter_b)
     }
 
     /// Combined switch resources of the two filters.

@@ -8,7 +8,7 @@ use cheetah_core::decision::{Decision, RowPruner};
 use cheetah_core::distinct::DistinctPruner;
 use cheetah_core::filter::FilterPruner;
 use cheetah_core::groupby::{Extremum, GroupByPruner};
-use cheetah_core::having::{CountMinSketch, HavingPruner};
+use cheetah_core::having::HavingPruner;
 use cheetah_core::join::{BloomFilter, JoinPruner, Side};
 use cheetah_core::skyline::{Heuristic, SkylinePruner};
 use cheetah_core::topn::{DeterministicTopN, RandomizedTopN};
@@ -261,21 +261,14 @@ impl HavingFlow {
         }
     }
 
-    /// Borrow the pass-1 Count-Min sketch for export into a cross-query
-    /// cache. `None` on the pisa backend, whose register state lives
-    /// inside the metered program — those runs bypass the cache.
-    pub fn sketch(&self) -> Option<&CountMinSketch> {
+    /// Move the pass-1 pruner out for export into a cross-query cache.
+    /// `None` on the pisa backend, whose register state lives inside the
+    /// metered program — those runs bypass the cache.
+    pub fn into_core(self) -> Option<HavingPruner> {
         match self {
-            HavingFlow::Core(p) => Some(p.sketch()),
+            HavingFlow::Core(p) => Some(p),
             HavingFlow::Pisa(_) => None,
         }
-    }
-
-    /// Rebuild a core flow from a cached pass-1 sketch, already armed for
-    /// pass 2: a serving layer that cached this predicate's sketch can
-    /// skip the observation pass entirely.
-    pub fn from_sketch(sketch: CountMinSketch, threshold: u64) -> Self {
-        HavingFlow::Core(HavingPruner::from_sketch(sketch, threshold))
     }
 }
 
@@ -350,24 +343,15 @@ impl JoinFlow {
         }
     }
 
-    /// Borrow the `(F_A, F_B)` Bloom pair for export into a cross-query
-    /// cache. `None` on the pisa backend, whose filter state lives inside
-    /// the metered program — those runs bypass the cache.
-    pub fn filters(&self) -> Option<(&BloomFilter, &BloomFilter)> {
+    /// Move the pass-1 `(F_A, F_B)` pruner out for export into a
+    /// cross-query cache, where it is probed by reference. `None` on the
+    /// pisa backend, whose filter state lives inside the metered program —
+    /// those runs bypass the cache.
+    pub fn into_core(self) -> Option<JoinPruner<BloomFilter>> {
         match self {
-            JoinFlow::Core(p) => {
-                let (a, b) = p.filters();
-                Some((a, b))
-            }
+            JoinFlow::Core(p) => Some(p),
             JoinFlow::Pisa(_) => None,
         }
-    }
-
-    /// Rebuild a core flow from cached pass-1 filters, already armed for
-    /// the probe pass: a serving layer that cached this join's filters can
-    /// skip the observation pass entirely.
-    pub fn from_filters(filter_a: BloomFilter, filter_b: BloomFilter) -> Self {
-        JoinFlow::Core(JoinPruner::new(filter_a, filter_b))
     }
 
     /// Pass-2 block loop, bit-identical to per-entry [`Self::probe`].

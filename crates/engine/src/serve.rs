@@ -9,8 +9,8 @@
 //!
 //! 1. **Admission** groups compatible single-pass shapes (filter,
 //!    distinct, top-n, group-by max/min, skyline) by table. Each group
-//!    makes **one** shared [`EntryStream`] pass — one scan of the union
-//!    of the member queries' metadata columns — with per-query
+//!    becomes **one** shared-scan task: one [`EntryStream`] pass over
+//!    the union of the member queries' metadata columns, with per-query
 //!    [`Decision`] lanes routed through
 //!    [`cheetah_core::multiquery::MultiQueryPruner`] by flow id. The
 //!    interleave permutation and block boundaries depend only on the
@@ -20,29 +20,34 @@
 //!    ([`SwitchModel`], Table 2 costs). Flows that don't fit spill to
 //!    software: they run solo and are counted in
 //!    [`ServeReport::spilled`].
-//! 3. **Dispatch** runs everything that can't share a scan (two-pass
-//!    JOIN/HAVING, register-aggregating GROUP BY SUM/COUNT, spills,
-//!    singleton groups) across a bounded worker pool, one executor call
-//!    per query, results delivered in admission order.
+//! 3. **Dispatch** puts the shared-scan tasks and then everything that
+//!    can't share a scan (two-pass JOIN/HAVING, register-aggregating
+//!    GROUP BY SUM/COUNT, spills, singleton groups — one executor call
+//!    per query) on one queue, drained by a bounded worker pool, so no
+//!    scan runs serially before the solo queries start. Results are
+//!    delivered in admission order.
 //! 4. **The filter cache** keys the Bloom-filter pair of a JOIN and the
 //!    Count-Min sketch of a HAVING on `(table epochs, predicate
-//!    fingerprint)`. A repeated predicate skips its observation pass and
-//!    probes the cached state — correct because Bloom filters admit no
-//!    false negatives and Count-Min never underestimates, so the cached
-//!    pass-2 candidate sets are supersets that the master's exact
-//!    completion filters identically. A table-epoch bump
-//!    ([`crate::table::Table::epoch`]) invalidates the entry.
+//!    fingerprint)`. Each entry is an `Arc` of the immutable pass-1
+//!    pruner: a repeated predicate skips its observation pass and probes
+//!    the cached state by reference, copying nothing; a miss runs both
+//!    passes and then moves its pruner into the cache. This is correct
+//!    because Bloom filters admit no false negatives and Count-Min never
+//!    underestimates, so the cached pass-2 candidate sets are supersets
+//!    that the master's exact completion filters identically. A
+//!    table-epoch bump ([`crate::table::Table::epoch`]) invalidates the
+//!    entry.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cheetah_core::decision::{Decision, PruneStats, RowPruner};
 use cheetah_core::fingerprint::Fingerprinter;
 use cheetah_core::groupby::Extremum;
-use cheetah_core::having::CountMinSketch;
-use cheetah_core::join::{BloomFilter, Side};
+use cheetah_core::having::HavingPruner;
+use cheetah_core::join::{BloomFilter, JoinPruner, Side};
 use cheetah_core::multiquery::MultiQueryPruner;
 use cheetah_core::resources::ResourceUsage;
 use cheetah_core::SwitchModel;
@@ -57,6 +62,26 @@ use crate::table::Database;
 
 /// Report label for everything this front-end produces.
 const NAME: &str = "serving";
+
+/// Why a result slot's lock cannot be poisoned: its holders only move a
+/// finished report in or out.
+const SLOT_LOCK: &str = "slot lock holders only store a finished report, which cannot panic";
+
+/// Why the filter cache's lock cannot be poisoned: its holders only run
+/// `HashMap` lookups, removals and inserts, and clone an `Arc`.
+const CACHE_LOCK: &str = "cache lock holders only run map lookups and inserts, which cannot panic";
+
+/// One unit of work on the serving pool's queue.
+enum Task<'q> {
+    /// One shared stream pass over a packed table group.
+    Scan {
+        table: &'q str,
+        packed: Vec<usize>,
+        mq: MultiQueryPruner,
+    },
+    /// One query dispatched alone (batch index).
+    Solo(usize),
+}
 
 /// The serving front-end over the [`Executor`] seam.
 ///
@@ -86,7 +111,7 @@ impl ServeExecutor {
     /// A serving layer over `cheetah` with the Tofino-like packing budget.
     /// The solo-dispatch pool width comes from the `SERVE_POOL`
     /// environment variable when set (the CI concurrency matrix runs
-    /// `{2, 8}`), else 4. Env-derived widths are clamped to ≥ 1 —
+    /// `{1, 2, 8}`), else 4. Env-derived widths are clamped to ≥ 1 —
     /// `SERVE_POOL=0` (or garbage) must degrade to a working server,
     /// not panic it; the explicit [`ServeExecutor::with_pool`] API keeps
     /// its assert, since a programmatic zero is a caller bug.
@@ -116,13 +141,14 @@ impl ServeExecutor {
 
     /// Drop every cached filter/sketch (e.g. between benchmark reps).
     pub fn clear_cache(&self) {
-        self.cache.lock().unwrap().entries.clear();
+        self.cache.lock().expect(CACHE_LOCK).entries.clear();
     }
 
-    /// Serve a batch: admission → packing → shared scans + pool dispatch,
-    /// with per-query reports returned **in admission order** plus the
-    /// batch-level [`ServeReport`]. Every report's result is bit-identical
-    /// to running that query alone through [`CheetahExecutor::execute`].
+    /// Serve a batch: admission → packing → one pool queue of shared
+    /// scans and solo queries, with per-query reports returned **in
+    /// admission order** plus the batch-level [`ServeReport`]. Every
+    /// report's result is bit-identical to running that query alone
+    /// through [`CheetahExecutor::execute`].
     pub fn serve(&self, db: &Database, queries: &[Query]) -> (Vec<ExecutionReport>, ServeReport) {
         let started = Instant::now();
         let mut agg = ServeReport {
@@ -143,8 +169,9 @@ impl ServeExecutor {
             }
         }
 
-        // Packing + shared scans, one per table group with co-residents.
-        for (tname, members) in groups {
+        // Packing: one shared-scan task per table group with co-residents.
+        let mut tasks: VecDeque<Task<'_>> = VecDeque::new();
+        for (table, members) in groups {
             if members.len() < 2 {
                 solo.extend(members);
                 continue;
@@ -169,26 +196,41 @@ impl ServeExecutor {
             }
             agg.packed += packed.len() as u64;
             agg.shared_scans += 1;
-            self.shared_scan(db, tname, queries, &packed, &mut mq, &slots);
+            tasks.push_back(Task::Scan { table, packed, mq });
         }
-
-        // Bounded pool: workers pull indices off one queue; results land
-        // in per-index slots, so scheduling order never affects output.
         agg.solo = solo.len() as u64;
+        tasks.extend(solo.into_iter().map(Task::Solo));
+
+        // Bounded pool: workers pull tasks off one queue, scans first;
+        // results land in per-index slots, so scheduling order never
+        // affects output.
         let hits = AtomicU64::new(0);
         let misses = AtomicU64::new(0);
-        if solo.len() == 1 {
-            let i = solo[0];
-            *slots[i].lock().unwrap() = Some(self.run_solo(db, &queries[i], &hits, &misses));
-        } else if !solo.is_empty() {
-            let queue: Mutex<VecDeque<usize>> = Mutex::new(solo.iter().copied().collect());
+        let run = |task: Task<'_>| match task {
+            Task::Scan {
+                table,
+                packed,
+                mut mq,
+            } => self.shared_scan(db, table, queries, &packed, &mut mq, &slots),
+            Task::Solo(i) => {
+                let report = self.run_solo(db, &queries[i], &hits, &misses);
+                *slots[i].lock().expect(SLOT_LOCK) = Some(report);
+            }
+        };
+        if tasks.len() == 1 {
+            tasks.into_iter().for_each(run);
+        } else {
+            let workers = self.pool.min(tasks.len());
+            let queue = Mutex::new(tasks);
             std::thread::scope(|scope| {
-                for _ in 0..self.pool.min(solo.len()) {
+                for _ in 0..workers {
                     scope.spawn(|| loop {
-                        let next = queue.lock().unwrap().pop_front();
-                        let Some(i) = next else { break };
-                        let report = self.run_solo(db, &queries[i], &hits, &misses);
-                        *slots[i].lock().unwrap() = Some(report);
+                        let next = queue
+                            .lock()
+                            .expect("queue lock holders only pop a task, which cannot panic")
+                            .pop_front();
+                        let Some(task) = next else { break };
+                        run(task);
                     });
                 }
             });
@@ -200,7 +242,7 @@ impl ServeExecutor {
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .unwrap()
+                    .expect(SLOT_LOCK)
                     .expect("every admitted query completes")
             })
             .collect();
@@ -341,7 +383,7 @@ impl ServeExecutor {
                 Completion::Done => unreachable!("completion consumed once"),
             };
             report.executor = NAME;
-            *slots[i].lock().unwrap() = Some(report);
+            *slots[i].lock().expect(SLOT_LOCK) = Some(report);
         }
     }
 
@@ -369,10 +411,11 @@ impl ServeExecutor {
         report
     }
 
-    /// HAVING with sketch reuse: a hit re-arms the cached Count-Min and
-    /// runs pass 2 only; a miss runs both passes and caches the sketch.
-    /// Identical sketch state ⇒ identical candidate decisions ⇒ the
-    /// master's exact sums produce the same keys either way.
+    /// HAVING with sketch reuse: a hit probes the cached pruner by
+    /// reference and runs pass 2 only; a miss runs both passes and moves
+    /// its pruner into the cache. Identical sketch state ⇒ identical
+    /// candidate decisions ⇒ the master's exact sums produce the same
+    /// keys either way.
     fn run_having_cached(
         &self,
         db: &Database,
@@ -393,7 +436,11 @@ impl ServeExecutor {
         let cfg = &self.cheetah.config;
         let cache_key = query_fingerprint(query);
         let epochs = vec![(table.clone(), t.epoch())];
-        let cached = self.cache.lock().unwrap().get_sketch(cache_key, &epochs);
+        let cached = self
+            .cache
+            .lock()
+            .expect(CACHE_LOCK)
+            .get_having(cache_key, &epochs);
         let stream = EntryStream::interleaved(
             t,
             &[t.col_index(key), t.col_index(val)],
@@ -401,14 +448,10 @@ impl ServeExecutor {
         );
         let (keys, vals) = (stream.col(0), stream.col(1));
         let mut stats = PruneStats::default();
-        let (mut flow, passes, streamed) = match cached {
-            Some(sketch) => {
+        let (pruner, missed) = match cached {
+            Some(pruner) => {
                 hits.fetch_add(1, Ordering::Relaxed);
-                (
-                    HavingFlow::from_sketch(sketch, *threshold),
-                    1,
-                    t.rows() as u64,
-                )
+                (pruner, false)
             }
             None => {
                 misses.fetch_add(1, Ordering::Relaxed);
@@ -416,23 +459,24 @@ impl ServeExecutor {
                 for (&k, &v) in keys.iter().zip(vals) {
                     stats.record(flow.pass_one(k, v));
                 }
-                (flow, 2, 2 * t.rows() as u64)
+                let pruner = flow.into_core().expect("cached flows run the core backend");
+                (Arc::new(pruner), true)
             }
         };
-        flow.begin_pass_two();
         let mut sums: HashMap<u64, u64> = HashMap::new();
         for (&k, &v) in keys.iter().zip(vals) {
-            let d = flow.pass_two(k, v);
+            let d = pruner.pass_two(k);
             stats.record(d);
             if d.is_forward() {
                 *sums.entry(k).or_insert(0) += v;
             }
         }
-        if let Some(sketch) = flow.sketch() {
-            self.cache
-                .lock()
-                .unwrap()
-                .put(cache_key, epochs, CachedState::Having(sketch.clone()));
+        if missed {
+            self.cache.lock().expect(CACHE_LOCK).put(
+                cache_key,
+                epochs,
+                CachedState::Having(pruner),
+            );
         }
         let result = QueryResult::keys(
             sums.into_iter()
@@ -440,6 +484,8 @@ impl ServeExecutor {
                 .map(|(k, _)| k)
                 .collect(),
         );
+        let passes = 1 + u32::from(missed);
+        let streamed = u64::from(passes) * t.rows() as u64;
         let mut report = self
             .cheetah
             .report(query, streamed, stats, passes, 0, result);
@@ -447,8 +493,9 @@ impl ServeExecutor {
         report
     }
 
-    /// JOIN with Bloom-pair reuse: a hit probes the cached filters and
-    /// skips the build pass. Bloom filters have no false negatives, so
+    /// JOIN with Bloom-pair reuse: a hit probes the cached filters by
+    /// reference and skips the build pass; a miss builds them and moves
+    /// them into the cache. Bloom filters have no false negatives, so
     /// the cached probe forwards a superset that pairs to exactly the
     /// same `(pairs, checksum)` summary.
     fn run_join_cached(
@@ -473,14 +520,18 @@ impl ServeExecutor {
         let workers = self.cheetah.model.workers;
         let cache_key = query_fingerprint(query);
         let epochs = vec![(left.clone(), l.epoch()), (right.clone(), r.epoch())];
-        let cached = self.cache.lock().unwrap().get_filters(cache_key, &epochs);
+        let cached = self
+            .cache
+            .lock()
+            .expect(CACHE_LOCK)
+            .get_join(cache_key, &epochs);
         let lstream = EntryStream::interleaved(l, &[l.col_index(left_col)], workers);
         let rstream = EntryStream::interleaved(r, &[r.col_index(right_col)], workers);
         let rows = (l.rows() + r.rows()) as u64;
-        let (mut flow, passes, streamed) = match cached {
-            Some((fa, fb)) => {
+        let (pruner, missed) = match cached {
+            Some(pruner) => {
                 hits.fetch_add(1, Ordering::Relaxed);
-                (JoinFlow::from_filters(fa, fb), 1, rows)
+                (pruner, false)
             }
             None => {
                 misses.fetch_add(1, Ordering::Relaxed);
@@ -491,13 +542,14 @@ impl ServeExecutor {
                 for &k in rstream.col(0) {
                     flow.observe(Side::Right, k);
                 }
-                (flow, 2, 2 * rows)
+                let pruner = flow.into_core().expect("cached flows run the core backend");
+                (Arc::new(pruner), true)
             }
         };
         let mut stats = PruneStats::default();
         let mut left_fwd: Vec<(u64, u64)> = Vec::new();
         for (&rid, &k) in lstream.row_ids().iter().zip(lstream.col(0)) {
-            let d = flow.probe(Side::Left, k);
+            let d = pruner.prune_decision(Side::Left, k);
             stats.record(d);
             if d.is_forward() {
                 left_fwd.push((k, rid));
@@ -505,21 +557,22 @@ impl ServeExecutor {
         }
         let mut right_fwd: Vec<(u64, u64)> = Vec::new();
         for (&rid, &k) in rstream.row_ids().iter().zip(rstream.col(0)) {
-            let d = flow.probe(Side::Right, k);
+            let d = pruner.prune_decision(Side::Right, k);
             stats.record(d);
             if d.is_forward() {
                 right_fwd.push((k, rid));
             }
         }
-        if let Some((fa, fb)) = flow.filters() {
-            self.cache.lock().unwrap().put(
-                cache_key,
-                epochs,
-                CachedState::Join(fa.clone(), fb.clone()),
-            );
+        if missed {
+            self.cache
+                .lock()
+                .expect(CACHE_LOCK)
+                .put(cache_key, epochs, CachedState::Join(pruner));
         }
         let (pairs, checksum) = join_survivors(left_fwd, right_fwd);
         let result = QueryResult::JoinSummary { pairs, checksum };
+        let passes = 1 + u32::from(missed);
+        let streamed = u64::from(passes) * rows;
         let mut report = self
             .cheetah
             .report(query, streamed, stats, passes, pairs, result);
@@ -711,26 +764,28 @@ struct CacheEntry {
     state: CachedState,
 }
 
+/// Immutable switch state a pass-1 run left behind. Entries are shared:
+/// a hit probes them by reference, so serving one copies nothing.
 enum CachedState {
-    Join(BloomFilter, BloomFilter),
-    Having(CountMinSketch),
+    Join(Arc<JoinPruner<BloomFilter>>),
+    Having(Arc<HavingPruner>),
 }
 
 impl FilterCache {
-    fn get_sketch(&mut self, key: u64, epochs: &[(String, u64)]) -> Option<CountMinSketch> {
+    fn get_having(&mut self, key: u64, epochs: &[(String, u64)]) -> Option<Arc<HavingPruner>> {
         match self.lookup(key, epochs)? {
-            CachedState::Having(s) => Some(s.clone()),
-            CachedState::Join(..) => None,
+            CachedState::Having(p) => Some(Arc::clone(p)),
+            CachedState::Join(_) => None,
         }
     }
 
-    fn get_filters(
+    fn get_join(
         &mut self,
         key: u64,
         epochs: &[(String, u64)],
-    ) -> Option<(BloomFilter, BloomFilter)> {
+    ) -> Option<Arc<JoinPruner<BloomFilter>>> {
         match self.lookup(key, epochs)? {
-            CachedState::Join(a, b) => Some((a.clone(), b.clone())),
+            CachedState::Join(p) => Some(Arc::clone(p)),
             CachedState::Having(_) => None,
         }
     }

@@ -344,11 +344,14 @@ fn warm_queries_allocate_o1_not_o_rows() {
     }
 
     // The serving cache-hit path: a warmed `ServeExecutor` re-serving a
-    // repeated JOIN/HAVING replays cached filter state — one cloned
-    // Bloom pair / sketch, the stream lanes, amortized survivor growth —
-    // so a hit stays O(1) allocations per block, never a rebuilt
-    // observation pass or any per-row bookkeeping.
+    // repeated JOIN/HAVING probes the cached filter state by reference —
+    // the stream lanes and amortized survivor growth are all it
+    // allocates — so a hit stays O(1) allocations per block, never a
+    // rebuilt observation pass or any per-row bookkeeping. A JOIN hit
+    // also peaks below the bytes of one Bloom filter: copying the cached
+    // pair out of the cache (or back in) would blow that bound.
     let serving = ServeExecutor::with_pool(exec.clone(), 1);
+    let filter_bytes = PrunerConfig::default().join_m_bits / 8;
     let cached_queries = [
         (
             "serving-cached-join",
@@ -360,6 +363,7 @@ fn warm_queries_allocate_o1_not_o_rows() {
             },
             // A hit probes each side exactly once.
             ROWS + ROWS / 2,
+            Some(filter_bytes),
         ),
         (
             "serving-cached-having",
@@ -370,9 +374,10 @@ fn warm_queries_allocate_o1_not_o_rows() {
                 threshold: 100_000,
             },
             ROWS,
+            None,
         ),
     ];
-    for (name, q, streamed) in cached_queries {
+    for (name, q, streamed, peak_bound) in cached_queries {
         let batch = [q];
         // Populate the cache (miss) and warm the allocator.
         let (warm, _) = serving.serve(&db, &batch);
@@ -395,6 +400,20 @@ fn warm_queries_allocate_o1_not_o_rows() {
              ~{blocks} blocks (budget {budget}); the cached replay has lost \
              its O(1)-per-block guarantee"
         );
+        if let Some(bound) = peak_bound {
+            let mut hit = None;
+            let peak = peak_bytes_during(|| {
+                hit = Some(serving.serve(&db, &batch));
+            });
+            let (reports, agg) = hit.expect("ran");
+            assert_eq!(agg.cache_hits, 1, "[{name}] warmed run must hit the cache");
+            assert_eq!(reports[0].result, warm[0].result, "[{name}]");
+            assert!(
+                peak < bound,
+                "[{name}] cache-hit serve peaked at {peak} B, at least one \
+                 Bloom filter ({bound} B); the hit is copying cached switch state"
+            );
+        }
     }
 
     // Projection pushdown peak-memory pin: a fetch-heavy Filter over a

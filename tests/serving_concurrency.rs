@@ -119,7 +119,7 @@ fn test_config(seed: u64) -> PrunerConfig {
 }
 
 /// Solo oracle + serving layer over the same config. The pool width
-/// comes from `SERVE_POOL` when set (the CI matrix sweeps {2, 8} across
+/// comes from `SERVE_POOL` when set (the CI matrix sweeps {1, 2, 8} across
 /// this whole suite), else from the caller.
 fn executors(pool: usize, workers: usize, seed: u64) -> (CheetahExecutor, ServeExecutor) {
     let pool = std::env::var("SERVE_POOL")
@@ -272,7 +272,7 @@ fn warm_cache_serves_repeats_across_batches() {
     }
 }
 
-/// `SERVE_POOL` sizes the dispatch pool (the CI matrix runs {2, 8});
+/// `SERVE_POOL` sizes the dispatch pool (the CI matrix runs {1, 2, 8});
 /// unset falls back to the default of 4.
 #[test]
 fn serve_pool_env_var_sizes_the_pool() {
